@@ -110,8 +110,10 @@ echo "== shard barrier stress: race detector x repeated runs =="
 # The PDES shard barrier (internal/sim ShardGroup) synchronises one OS
 # thread per shard every lookahead window. Repeated runs under the race
 # detector shake out ordering bugs a single pass can miss: handoff of
-# cross-shard messages, panic propagation, and the executed-event counts.
-go test ./internal/sim -race -run 'TestShardBarrierStress|TestShardGroupExecutedExact' \
+# cross-shard messages, panic propagation, the executed-event counts, and
+# coroutine procs parked in one window and resumed by another window's
+# worker goroutine.
+go test ./internal/sim -race -run 'TestShardBarrierStress|TestShardGroupExecutedExact|TestShardProcsResumeAcrossWindows' \
     -count=8 >/dev/null
 echo "barrier race-clean across 8 repetitions."
 
@@ -195,9 +197,10 @@ echo "fuzz seed corpus clean."
 
 echo "== alloc gate: steady state is allocation-free =="
 # The AllocsPerRun pins must hold (pooled schedule/cancel, closure-free
-# schedule/fire, both rearm shapes), and the end-to-end kernel
-# sleep -> timer-wake -> dispatch cycle must report 0 allocs/op.
-go test ./internal/sim -run 'TestRearmZeroAlloc|TestFreeListZeroAlloc' -count=1 >/dev/null
+# schedule/fire, both rearm shapes, the proc Switch/Park round trip), and
+# the end-to-end kernel sleep -> timer-wake -> dispatch cycle must report
+# 0 allocs/op.
+go test ./internal/sim -run 'TestRearmZeroAlloc|TestFreeListZeroAlloc|TestProcSwitchZeroAlloc' -count=1 >/dev/null
 go test ./internal/sched -run '^$' -bench BenchmarkKernelWakeDispatch \
     -benchtime 2000x -benchmem >"$detdir/wakebench.txt"
 if ! grep -Eq '[[:space:]]0 allocs/op' "$detdir/wakebench.txt"; then

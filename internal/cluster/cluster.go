@@ -346,6 +346,7 @@ func Run(cfg FleetConfig) (*FleetResult, error) {
 	}
 
 	eng := newFleetEngine(cfg.Seed)
+	defer eng.Release()
 	f, err := buildFleet(cfg, eng, nil)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"oversub/internal/sched"
 	"oversub/internal/sim"
@@ -210,5 +212,35 @@ func TestFleetConfigErrors(t *testing.T) {
 	cfg.Tenants = []TenantSpec{{Name: "zero", Share: 0}}
 	if _, err := Run(cfg); err == nil {
 		t.Error("zero tenant share accepted")
+	}
+}
+
+// TestRunReleasesGoroutines pins the engine-owner cleanup: service
+// workers and batch threads stay parked at the horizon, and Run must
+// release their coroutines once results are collected, on the serial and
+// the sharded path. A leaked coroutine keeps its kernel, tracer and ring
+// reachable for the life of the process.
+func TestRunReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, shards := range []int{0, 2} {
+		cfg := FleetConfig{Machines: 2, Policy: "rr", QPS: 20000, Duration: 20 * sim.Millisecond, Seed: 1, Shards: shards}
+		for i := 0; i < 3; i++ {
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.PerMachine[0].Done == 0 || res.PerMachine[1].Done == 0 {
+				t.Fatalf("shards=%d: no requests completed; the run parks nothing", shards)
+			}
+		}
+		// Shard workers signal the barrier before they exit; give them a
+		// moment to finish.
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > base {
+			t.Fatalf("shards=%d: %d goroutines after three runs, want baseline %d", shards, n, base)
+		}
 	}
 }

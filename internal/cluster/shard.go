@@ -58,6 +58,13 @@ func (cfg *FleetConfig) effectiveShards() int {
 func runSharded(cfg FleetConfig, k int) (*FleetResult, error) {
 	engines := make([]*sim.Engine, k)
 	reps := make([]*fleet, k)
+	defer func() {
+		for _, e := range engines {
+			if e != nil {
+				e.Release()
+			}
+		}
+	}()
 	for s := 0; s < k; s++ {
 		engines[s] = newFleetEngine(cfg.Seed)
 		slot := s

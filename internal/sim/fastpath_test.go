@@ -125,6 +125,23 @@ func TestFreeListZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestProcSwitchZeroAlloc pins the coroutine handoff at zero allocations:
+// once a proc's coroutine exists, a Switch/Park round trip is a direct
+// runtime switch with nothing to allocate.
+func TestProcSwitchZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	p := e.NewProc(func(p *Proc) {
+		for {
+			p.Park()
+		}
+	})
+	p.Switch() // create the coroutine; the body parks at once
+	if n := testing.AllocsPerRun(100, p.Switch); n != 0 {
+		t.Errorf("Switch/Park round trip allocates %v per cycle, want 0", n)
+	}
+	e.Release()
+}
+
 // BenchmarkEnginePushPop measures the raw event-queue cycle: schedule one
 // event, fire one event, with a standing population keeping the heap at
 // working depth.

@@ -1,20 +1,29 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a coroutine running inside the simulation.
 //
-// A Proc's body is an ordinary Go function executing on its own goroutine,
-// but control is transferred explicitly: the owner (scheduler, client model,
-// ...) calls Switch to run the body until it calls Park or returns. While the
-// body runs, the owner is blocked, so at most one simulated entity executes
+// A Proc's body is an ordinary Go function run as an iter.Pull coroutine:
+// the owner (scheduler, client model, ...) calls Switch to run the body
+// until it calls Park or returns, and the runtime hands control across
+// directly, without a trip through the goroutine scheduler. While the body
+// runs, the owner is suspended, so at most one simulated entity executes
 // at a time and determinism is preserved.
 type Proc struct {
-	eng      *Engine
-	resume   chan struct{}
-	parked   chan struct{}
-	body     func(*Proc)
-	started  bool
+	eng  *Engine
+	body func(*Proc)
+	// next resumes the coroutine and stop unwinds it; both stay nil until
+	// the first Switch creates the coroutine. yield is the body's side of
+	// next, set when the coroutine starts.
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
 	finished bool
 	panicked any
 
@@ -23,15 +32,15 @@ type Proc struct {
 	Data any
 }
 
+// released is the panic Park raises when Engine.Release stops a parked
+// proc; run's deferred finish recovers it, so the body unwinds without
+// returning to simulation code.
+type released struct{}
+
 // NewProc registers a coroutine with body. The body does not run until the
-// first Switch.
+// first Switch, and no coroutine exists before then.
 func (e *Engine) NewProc(body func(*Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-		body:   body,
-	}
+	p := &Proc{eng: e, body: body}
 	e.procs = append(e.procs, p)
 	return p
 }
@@ -49,14 +58,10 @@ func (p *Proc) Switch() {
 	if p.finished {
 		panic("sim: Switch on finished proc")
 	}
-	if !p.started {
-		p.started = true
-		//simlint:allow gostmt -- coroutine handshake: the owner blocks until the body parks, so one simulated entity runs at a time (DESIGN.md §5)
-		go p.run()
-	} else {
-		p.resume <- struct{}{}
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.run)
 	}
-	<-p.parked
+	p.next()
 	if p.panicked != nil {
 		panic(fmt.Sprintf("sim: proc body panicked: %v", p.panicked))
 	}
@@ -65,25 +70,45 @@ func (p *Proc) Switch() {
 // Park suspends the body until the next Switch. It must be called from
 // within the proc's body.
 func (p *Proc) Park() {
-	p.parked <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(released{})
+	}
 }
 
-func (p *Proc) run() {
+// run is the coroutine's sequence: each Park yields one value.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
 	defer p.finish()
 	p.body(p)
 }
 
-// finish runs deferred on the proc goroutine when the body returns or
-// panics: it records the panic, retires the proc from the registry, and
-// hands control back to the owner blocked in Switch.
+// finish runs deferred in the coroutine when the body returns, panics, or
+// is unwound by Release: it records a body panic and retires the proc
+// from the registry. Control then returns to Switch, or to Release.
 func (p *Proc) finish() {
 	if r := recover(); r != nil {
-		p.panicked = r
+		if _, ok := r.(released); !ok {
+			p.panicked = r
+		}
 	}
 	p.finished = true
 	p.eng.removeProc(p)
-	p.parked <- struct{}{}
+}
+
+// Release unwinds every live proc: parked bodies return from Park by
+// panicking up to their coroutine's root, and never-started procs are
+// retired without running. Afterwards LiveProcs is 0 and no goroutine
+// keeps the engine's simulation state reachable. Call it once a run's
+// results are collected; no simulated code runs during the unwind.
+func (e *Engine) Release() {
+	procs := e.procs
+	e.procs = nil // each unwinding finish then has nothing to scan
+	for _, p := range procs {
+		if p.stop != nil {
+			p.stop()
+		}
+		p.finished = true
+	}
 }
 
 // removeProc drops p from the ordered registry, preserving the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -63,7 +64,7 @@ func TestProcPanicPropagates(t *testing.T) {
 		if r == nil {
 			t.Fatal("panic did not propagate to Switch caller")
 		}
-		if !strings.Contains(r.(string), "boom") {
+		if r != "sim: proc body panicked: boom" {
 			t.Fatalf("unexpected panic payload %v", r)
 		}
 	}()
@@ -133,4 +134,63 @@ func TestManyProcsRoundRobin(t *testing.T) {
 	if e.LiveProcs() != 0 {
 		t.Errorf("LiveProcs = %d after completion, want 0", e.LiveProcs())
 	}
+}
+
+// TestNewProcStartsNoGoroutine pins lazy coroutine creation: a proc costs
+// a goroutine only from its first Switch, so a kernel that spawns threads
+// it never dispatches pays nothing for them.
+func TestNewProcStartsNoGoroutine(t *testing.T) {
+	e := NewEngine(1)
+	base := runtime.NumGoroutine()
+	procs := make([]*Proc, 16)
+	for i := range procs {
+		procs[i] = e.NewProc(func(p *Proc) { p.Park() })
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("NumGoroutine = %d after NewProc, want %d", n, base)
+	}
+	procs[0].Switch()
+	if n := runtime.NumGoroutine(); n != base+1 {
+		t.Fatalf("NumGoroutine = %d after one Switch, want %d", n, base+1)
+	}
+	e.Release()
+}
+
+// TestReleaseUnwindsProcs pins Engine.Release: parked bodies unwind
+// without running past their Park, never-started bodies never run, every
+// proc reports Finished, the registry empties, and no coroutine goroutine
+// survives.
+func TestReleaseUnwindsProcs(t *testing.T) {
+	e := NewEngine(1)
+	base := runtime.NumGoroutine()
+	resumed, started := 0, 0
+	var parked []*Proc
+	for i := 0; i < 4; i++ {
+		p := e.NewProc(func(p *Proc) {
+			p.Park()
+			resumed++
+		})
+		p.Switch()
+		parked = append(parked, p)
+	}
+	idle := e.NewProc(func(p *Proc) { started++ })
+	if got := e.LiveProcs(); got != 5 {
+		t.Fatalf("LiveProcs = %d before Release, want 5", got)
+	}
+	e.Release()
+	if got := e.LiveProcs(); got != 0 {
+		t.Fatalf("LiveProcs = %d after Release, want 0", got)
+	}
+	if resumed != 0 || started != 0 {
+		t.Fatalf("Release ran simulation code: resumed %d, started %d", resumed, started)
+	}
+	for i, p := range append(parked, idle) {
+		if !p.Finished() {
+			t.Fatalf("proc %d not Finished after Release", i)
+		}
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("NumGoroutine = %d after Release, want %d", n, base)
+	}
+	e.Release() // idempotent on an empty registry
 }

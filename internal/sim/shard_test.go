@@ -154,6 +154,72 @@ func TestShardBarrierStress(t *testing.T) {
 	}
 }
 
+// runShardProcs gives each of k shards three procs that park once per
+// tick for rounds ticks. Ticks fall every two lookaheads, so each resume
+// happens in a window of its own; with parallel > 1 each window runs on a
+// fresh worker goroutine, so a parked coroutine is resumed by a different
+// goroutine from the one that created it. It returns the per-shard logs.
+func runShardProcs(t *testing.T, k, rounds, parallel int) [][]string {
+	const lookahead = Duration(100)
+	const period = 2 * lookahead
+	engines := make([]*Engine, k)
+	logs := make([][]string, k)
+	for i := range engines {
+		i := i
+		e := NewEngine(uint64(i) + 1)
+		engines[i] = e
+		procs := make([]*Proc, 3)
+		for j := range procs {
+			j := j
+			procs[j] = e.NewProc(func(p *Proc) {
+				for r := 0; r < rounds; r++ {
+					logs[i] = append(logs[i], fmt.Sprintf("%v p%d r%d %d", e.Now(), j, r, e.Rand().Intn(1000)))
+					p.Park()
+				}
+			})
+		}
+		var tick func()
+		tick = func() {
+			for _, p := range procs {
+				if !p.Finished() {
+					p.Switch()
+				}
+			}
+			if e.LiveProcs() > 0 {
+				e.After(period, tick)
+			}
+		}
+		e.After(period, tick)
+	}
+	NewShardGroup(engines).Run(Time(period)*Time(rounds+2), lookahead, parallel)
+	for i, e := range engines {
+		if n := e.LiveProcs(); n != 0 {
+			t.Fatalf("shard %d: %d procs still live at the horizon", i, n)
+		}
+	}
+	return logs
+}
+
+// TestShardProcsResumeAcrossWindows pins coroutine procs under the shard
+// barrier: procs stay parked across many lookahead windows, are resumed
+// by a different worker goroutine each window, and the run stays
+// byte-identical to inline (serial) windows. ci.sh repeats it under the
+// race detector, which checks the handoff between worker goroutines.
+func TestShardProcsResumeAcrossWindows(t *testing.T) {
+	const k, rounds = 2, 50
+	serial := runShardProcs(t, k, rounds, 1)
+	par := runShardProcs(t, k, rounds, k)
+	for s := range serial {
+		if len(serial[s]) != 3*rounds {
+			t.Fatalf("shard %d logged %d resumes, want %d", s, len(serial[s]), 3*rounds)
+		}
+		if fmt.Sprint(serial[s]) != fmt.Sprint(par[s]) {
+			t.Fatalf("shard %d diverged under parallel windows:\nserial: %v\npar:    %v",
+				s, serial[s], par[s])
+		}
+	}
+}
+
 // TestShardGroupExecutedExact is the atomic-vs-merged accounting check:
 // an atomic counter bumped by every fired event must equal the sum of the
 // per-shard Executed counters, under parallel execution, so the merged

@@ -124,6 +124,7 @@ func Memcached(cfg MemcachedConfig) MemcachedResult {
 	}
 
 	k := newKernel(cfg.Cores, 1, sched.Features{VB: cfg.VB}, cfg.Seed, cfg.Policy)
+	defer k.Engine().Release()
 	if cfg.Tracer != nil {
 		k.SetTracer(cfg.Tracer)
 	}

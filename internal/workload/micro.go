@@ -48,6 +48,7 @@ type DirectCostResult struct {
 // time.
 func DirectCost(n int, atomicShared bool, seed uint64) DirectCostResult {
 	k := newKernel(1, 1, sched.Features{}, seed, "")
+	defer k.Engine().Release()
 	const total = 120 * sim.Millisecond
 	iter := k.Costs().MinGranularity
 	shared := k.NewWord(0)
@@ -100,6 +101,7 @@ func IndirectCost(p mem.Pattern, total int64, seed uint64) IndirectCostResult {
 
 	serial := func() sim.Duration {
 		k := newKernel(1, 1, sched.Features{}, seed, "")
+		defer k.Engine().Release()
 		fp := mem.Footprint{Pattern: p, Bytes: total}
 		k.Spawn("serial", func(t *sched.Thread) {
 			t.Footprint = fp
@@ -115,6 +117,7 @@ func IndirectCost(p mem.Pattern, total int64, seed uint64) IndirectCostResult {
 	}()
 
 	k := newKernel(1, 1, sched.Features{}, seed, "")
+	defer k.Engine().Release()
 	sub := mem.Footprint{Pattern: p, Bytes: total / 2}
 	for i := 0; i < 2; i++ {
 		k.Spawn("half", func(t *sched.Thread) {
@@ -170,6 +173,7 @@ func (p Primitive) String() string {
 // returns total execution time; Figure 10 reports vanilla/VB speedups.
 func PrimitiveStress(p Primitive, threads, cores int, vb bool, seed uint64) sim.Duration {
 	k := newKernel(cores, 1, sched.Features{VB: vb}, seed, "")
+	defer k.Engine().Release()
 	tbl := futex.NewTable(k, 0)
 	const iters = 1500
 	think := 3 * sim.Microsecond
@@ -308,6 +312,7 @@ type SpinPipelineResult struct {
 // is fixed (strong scaling); threads spin while waiting their turn.
 func SpinPipeline(kind SpinLockKind, threads, cores int, detect Detection, vm bool, seed uint64) SpinPipelineResult {
 	k := newKernel(cores, 1, sched.Features{VM: vm}, seed+uint64(kind)*977, "")
+	defer k.Engine().Release()
 	l := kind.New(k)
 	const totalRounds = 160
 	const stageWork = 150 * sim.Microsecond
@@ -359,6 +364,7 @@ type SensitivityResult struct {
 // should flag essentially every attempt.
 func Sensitivity(kind SpinLockKind, tries int, seed uint64) SensitivityResult {
 	k := newKernel(1, 1, sched.Features{}, seed+uint64(kind)*131, "")
+	defer k.Engine().Release()
 	l := kind.New(k)
 	sig := l.Sig()
 	never := k.NewWord(0)

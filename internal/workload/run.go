@@ -121,6 +121,7 @@ func Run(spec *Spec, cfg RunConfig) Result {
 	}
 
 	eng := sim.NewEngine(cfg.Seed*2654435761 + 17)
+	defer eng.Release()
 	// The machine must physically contain every core the elasticity plan
 	// will enable.
 	maxCores := cores

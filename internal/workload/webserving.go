@@ -71,6 +71,7 @@ func WebServing(cfg WebConfig) WebResult {
 	}
 
 	k := newKernel(cfg.Cores, 1, sched.Features{VB: cfg.VB}, cfg.Seed, cfg.Policy)
+	defer k.Engine().Release()
 	if cfg.Sampler != nil {
 		k.SetSampler(cfg.Sampler)
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"oversub/internal/mem"
@@ -187,11 +188,17 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunHorizonAborts also pins that an aborted run releases the
+// threads still parked at the horizon: none keeps a goroutine alive.
 func TestRunHorizonAborts(t *testing.T) {
 	s := Find("ep")
+	base := runtime.NumGoroutine()
 	r := Run(s, RunConfig{Threads: 8, Cores: 8, Seed: 1, Horizon: sim.Millisecond})
 	if r.Err == nil {
 		t.Error("tiny horizon should abort the run with an error")
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("NumGoroutine = %d after the aborted run, want at most %d", n, base)
 	}
 }
 
