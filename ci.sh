@@ -2,7 +2,8 @@
 # ci.sh — the repo's gate: formatting, vet, simlint, build, tests, the race
 # detector (the runner fans simulation runs across OS threads, so every
 # test also runs under -race), a determinism smoke test proving that a
-# parallel experiment fleet is byte-identical to a serial one, a stress
+# parallel experiment fleet is byte-identical to a serial one, a check
+# that the committed results/ match a fresh full-scale run, a stress
 # loop on the PDES shard barrier, and a sharded-fleet smoke proving that
 # splitting one fleet run across shard engines (-shards) is byte-identical
 # to serial execution.
@@ -118,17 +119,38 @@ go test ./internal/sim -race -run 'TestShardBarrierStress|TestShardGroupExecuted
 echo "barrier race-clean across 8 repetitions."
 
 echo "== determinism smoke: parallel == serial =="
-# The same quick experiments, serial (-jobs 1) and parallel (-jobs 8),
-# bypassing the cache; the rendered outputs must be byte-identical.
+# The same quick experiments, serial (-jobs 1) and parallel (-jobs 8);
+# the rendered outputs must be byte-identical.
 go build -o "$detdir/hpdc21" ./cmd/hpdc21
-"$detdir/hpdc21" -quick -nocache -jobs 1 fig2 fig9 tab2 >"$detdir/serial.txt" 2>/dev/null
-"$detdir/hpdc21" -quick -nocache -jobs 8 fig2 fig9 tab2 >"$detdir/parallel.txt" 2>/dev/null
+"$detdir/hpdc21" -quick -jobs 1 fig2 fig9 tab2 >"$detdir/serial.txt" 2>/dev/null
+"$detdir/hpdc21" -quick -jobs 8 fig2 fig9 tab2 >"$detdir/parallel.txt" 2>/dev/null
 if ! cmp -s "$detdir/serial.txt" "$detdir/parallel.txt"; then
     echo "determinism smoke FAILED: parallel output differs from serial" >&2
     diff "$detdir/serial.txt" "$detdir/parallel.txt" >&2 || true
     exit 1
 fi
 echo "parallel output byte-identical to serial."
+
+echo "== committed results: fresh full suite == results/ =="
+# Every experiment, regenerated at full scale from the code as it stands
+# (hpdc21 exits nonzero if any run fails), must match its committed
+# results/<experiment>.txt byte for byte. Committed files that no
+# experiment writes (runner_speedup.txt, a historical timing record) are
+# not checked.
+if ! "$detdir/hpdc21" -out "$detdir/results" all >/dev/null 2>"$detdir/results.log"; then
+    echo "committed results FAILED: hpdc21 all exited nonzero" >&2
+    grep -v '^runner:' "$detdir/results.log" >&2 || true
+    exit 1
+fi
+for fresh in "$detdir"/results/*.txt; do
+    name=$(basename "$fresh")
+    if ! cmp -s "results/$name" "$fresh"; then
+        echo "committed results FAILED: results/$name differs from a fresh run" >&2
+        diff "results/$name" "$fresh" >&2 || true
+        exit 1
+    fi
+done
+echo "every committed experiment output matches a fresh run."
 
 echo "== trace smoke: oracle + summary determinism =="
 # A quick traced workload runs through the trace-invariant oracle (oversim

@@ -64,15 +64,21 @@ func runBlameCheck(o options, path string) error {
 	return nil
 }
 
+// blameCell is one blame_policies cell: completed requests, their summed
+// blame components, and their latency tails.
+type blameCell struct {
+	n        int
+	comp     trace.Breakdown
+	p50, p99 sim.Duration
+}
+
 // blamePolicies is the observability experiment: request-latency blame
 // across the scheduling-policy zoo x kernel-variant grid, each cell a
-// 1-machine fleet under the standard tenant mix at fixed load. The cells
-// run serially in-process — trace rings are a side channel the result
-// cache cannot fingerprint, so this experiment deliberately bypasses it.
-// The table shows WHERE each configuration's latency goes: vanilla
-// kernels burn it spinning (analytics' TTAS shards) and futex-sleeping
-// (cache/web shards); VB moves lock waits into vbskip, and BWD
-// deschedules the spinners.
+// 1-machine fleet under the standard tenant mix at fixed load, traced and
+// checked against the blame exactness oracle. The table shows WHERE each
+// configuration's latency goes: vanilla kernels burn it spinning
+// (analytics' TTAS shards) and futex-sleeping (cache/web shards); VB moves
+// lock waits into vbskip, and BWD deschedules the spinners.
 func blamePolicies(e *env) {
 	qps := 60000.0
 	dur := 100 * sim.Millisecond
@@ -82,6 +88,47 @@ func blamePolicies(e *env) {
 	}
 	policies := oversub.PolicyNames()
 	variants := sweep.FleetVariants()
+
+	run := func(pol string, v sweep.Variant) (blameCell, error) {
+		cfg := cluster.FleetConfig{Machines: 1, QPS: qps, Duration: dur, Seed: e.o.seed}
+		cfg.Machine.SchedPolicy = pol
+		cfg.Machine.Feat = v.Feat
+		cfg.Machine.Detect = v.Detect
+		rings := cluster.AttachTracers(&cfg, 1<<21)
+		if _, err := cluster.Run(cfg); err != nil {
+			return blameCell{}, err
+		}
+		m := trace.CollectMachines(rings)[0]
+		if m.Dropped > 0 {
+			return blameCell{}, fmt.Errorf("ring wrapped (%d dropped)", m.Dropped)
+		}
+		if vs := append(trace.CheckInvariants(m.Events), trace.CheckBlame(m.Events)...); len(vs) > 0 {
+			return blameCell{}, fmt.Errorf("%d trace-invariant violations (first: %s)", len(vs), vs[0])
+		}
+		b := trace.ComputeBlame(m.Events)
+		var c blameCell
+		var lat stats.Digest
+		for i := range b.Requests {
+			c.comp.Add(&b.Requests[i].Comp)
+			lat.Add(b.Requests[i].Latency())
+		}
+		c.n = len(b.Requests)
+		c.p50, c.p99 = lat.Percentile(50), lat.Percentile(99)
+		return c, nil
+	}
+
+	// Fan the grid out on the shared pool and render in grid order.
+	type point struct{ pol, variant string }
+	var pts []point
+	var futs []future[blameCell]
+	for _, pol := range policies {
+		for _, v := range variants {
+			pts = append(pts, point{pol, v.Label})
+			futs = append(futs, submit(e, fmt.Sprintf("blame_policies/%s/%s", pol, v.Label), func() (blameCell, error) {
+				return run(pol, v)
+			}))
+		}
+	}
 
 	fmt.Fprintf(e.out, "1-machine fleet, standard tenant mix (cache/web/analytics), qps=%.0f, %v, seed %d\n",
 		qps, dur, e.o.seed)
@@ -96,45 +143,21 @@ func blamePolicies(e *env) {
 	}
 	fmt.Fprintf(e.out, " %10s %10s\n", "p50", "p99")
 
-	for _, pol := range policies {
-		for _, v := range variants {
-			cfg := cluster.FleetConfig{Machines: 1, QPS: qps, Duration: dur, Seed: e.o.seed}
-			cfg.Machine.SchedPolicy = pol
-			cfg.Machine.Feat = v.Feat
-			cfg.Machine.Detect = v.Detect
-			rings := cluster.AttachTracers(&cfg, 1<<21)
-			if _, err := cluster.Run(cfg); err != nil {
-				fmt.Fprintf(os.Stderr, "hpdc21: blame_policies %s/%s: %v\n", pol, v.Label, err)
-				continue
-			}
-			m := trace.CollectMachines(rings)[0]
-			if m.Dropped > 0 {
-				fmt.Fprintf(os.Stderr, "hpdc21: blame_policies %s/%s: ring wrapped (%d dropped)\n", pol, v.Label, m.Dropped)
-				continue
-			}
-			if vs := append(trace.CheckInvariants(m.Events), trace.CheckBlame(m.Events)...); len(vs) > 0 {
-				fmt.Fprintf(os.Stderr, "hpdc21: blame_policies %s/%s: %d trace-invariant violations (first: %s)\n",
-					pol, v.Label, len(vs), vs[0])
-				continue
-			}
-			b := trace.ComputeBlame(m.Events)
-			var comp trace.Breakdown
-			var lat stats.Digest
-			for i := range b.Requests {
-				comp.Add(&b.Requests[i].Comp)
-				lat.Add(b.Requests[i].Latency())
-			}
-			n := len(b.Requests)
-			fmt.Fprintf(e.out, "  %-9s %-8s %9d", pol, v.Label, n)
-			for _, c := range comps {
-				mean := 0.0
-				if n > 0 {
-					mean = comp[c].Micros() / float64(n)
-				}
-				fmt.Fprintf(e.out, " %9.2f", mean)
-			}
-			fmt.Fprintf(e.out, " %10v %10v\n", lat.Percentile(50), lat.Percentile(99))
+	for i, pt := range pts {
+		c, err := futs[i].get()
+		if err != nil {
+			fmt.Fprintf(e.out, "  %-9s %-8s %9s\n", pt.pol, pt.variant, "failed")
+			continue
 		}
+		fmt.Fprintf(e.out, "  %-9s %-8s %9d", pt.pol, pt.variant, c.n)
+		for _, comp := range comps {
+			mean := 0.0
+			if c.n > 0 {
+				mean = c.comp[comp].Micros() / float64(c.n)
+			}
+			fmt.Fprintf(e.out, " %9.2f", mean)
+		}
+		fmt.Fprintf(e.out, " %10v %10v\n", c.p50, c.p99)
 	}
 	fmt.Fprintf(e.out, "\nReading the table: each cell is mean microseconds per completed request.\n")
 	fmt.Fprintf(e.out, "Vanilla cells lose request time queueing behind spinners (analytics' TTAS\n")

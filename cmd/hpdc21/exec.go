@@ -2,128 +2,87 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 
 	"oversub"
 	"oversub/internal/runner"
-	"oversub/internal/schema"
 	"oversub/internal/workload"
 )
 
 // env is what each experiment receives: its output destination (a private
-// buffer when experiments run in parallel) plus the process-wide run pool
-// and result cache.
+// buffer when experiments run in parallel), the process-wide run pool, and
+// the invocation's count of failed runs.
 type env struct {
-	o     options
-	out   io.Writer
-	pool  *runner.Pool
-	cache *runner.Cache
+	o      options
+	out    io.Writer
+	pool   *runner.Pool
+	failed *atomic.Int64
 }
 
-// cacheSchema salts every cache fingerprint. Bump it when a change outside
-// the fingerprinted inputs (engine internals, workload bodies) alters
-// results, so stale entries from older binaries cannot be served.
-// v2: Result/MemcachedResult grew Events/ExecTime fields.
-// v3: fleet runs joined the cache; their keys carry the full fleet
-// topology/config (machine count, machine features, tenant mix, policy,
-// arrival process), and the memcached server moved onto the shared
-// workload.Service path.
-// v4: run configurations grew a scheduling-policy field (BenchConfig,
-// MemcachedConfig, FleetConfig.MachinePolicies); entries keyed without it
-// cannot be distinguished from cfs runs.
-const cacheSchema = schema.HPDC21CacheV4
-
-// fingerprint keys one run from everything that determines its outcome:
-// the schema version, the run kind, the kernel cost table (a recalibration
-// must invalidate), and the caller's spec/config parts.
-func fingerprint(kind string, parts ...any) string {
-	all := append([]any{cacheSchema, kind, oversub.DefaultCosts()}, parts...)
-	return runner.Key(all...)
+// future is a typed handle on a pooled run.
+type future[T any] struct {
+	e *env
+	f *runner.Future
 }
 
-// future is a typed handle on a pooled computation.
-type future[T any] struct{ f *runner.Future }
-
-// wait returns the computation's value. A run that panicked, timed out, or
-// was cancelled is reported on stderr and yields the zero value — one bad
-// run never kills the process.
-func (f future[T]) wait() T {
+// get returns the run's value, or the zero value and the error of a run
+// that failed (returned an error, panicked, timed out, or was cancelled).
+// A failure is reported on stderr and counted, so the invocation exits
+// nonzero: one bad run never kills the process, and never passes silently.
+func (f future[T]) get() (T, error) {
 	r := f.f.Wait()
 	if r.Err != nil {
 		fmt.Fprintf(os.Stderr, "hpdc21: run %s failed: %v\n", r.Label, r.Err)
+		f.e.failed.Add(1)
 		var zero T
-		return zero
+		return zero, r.Err
 	}
-	return r.Value.(T)
+	return r.Value.(T), nil
 }
 
-// submit schedules fn on the shared pool, memoized in the result cache
-// under key. The job starts immediately if an executor is free; otherwise
-// the first wait() runs it inline.
-func submit[T any](e *env, label, key string, fn func() T) future[T] {
-	return future[T]{e.pool.Submit(nil, runner.Job{
+// wait returns the run's value, or the zero value if it failed.
+func (f future[T]) wait() T {
+	v, _ := f.get()
+	return v
+}
+
+// submit schedules fn on the shared pool under the -timeout budget. The
+// job starts immediately if an executor is free; otherwise the first
+// wait() runs it inline.
+func submit[T any](e *env, label string, fn func() (T, error)) future[T] {
+	return future[T]{e, e.pool.Submit(nil, runner.Job{
 		Label:   label,
 		Timeout: e.o.timeout,
-		Fn: func(context.Context) (any, error) {
-			var v T
-			if e.cache.Lookup(key, &v) {
-				return v, nil
-			}
-			v = fn()
-			if err := e.cache.Store(key, v); err != nil {
-				fmt.Fprintf(os.Stderr, "hpdc21: %v\n", err)
-			}
-			return v, nil
-		},
+		Fn:      func(context.Context) (any, error) { return fn() },
 	})}
 }
 
-// benchEntry is a BenchResult in cacheable form: the Err field of a
-// completed-with-error run (a hang) round-trips as a string.
-type benchEntry struct {
-	Res oversub.BenchResult
-	Err string `json:",omitempty"`
-}
-
 // benchFuture is a pending suite-benchmark run.
-type benchFuture struct{ f future[benchEntry] }
+type benchFuture struct{ future[oversub.BenchResult] }
 
-// wait returns the run's result. Pool-level failures (panic, timeout)
-// surface as Result.Err, so tables render them like hangs.
+// wait returns the run's result. A failed run surfaces as Result.Err, so
+// tables render it like a hang.
 func (b benchFuture) wait() oversub.BenchResult {
-	r := b.f.f.Wait()
-	if r.Err != nil {
-		fmt.Fprintf(os.Stderr, "hpdc21: run %s failed: %v\n", r.Label, r.Err)
-		return oversub.BenchResult{Err: r.Err}
+	r, err := b.get()
+	if err != nil {
+		r.Err = err
 	}
-	ent := r.Value.(benchEntry)
-	res := ent.Res
-	if ent.Err != "" && res.Err == nil {
-		res.Err = errors.New(ent.Err)
-	}
-	return res
+	return r
 }
 
-// bench schedules one suite-benchmark run, cached on the full (spec,
-// config) fingerprint.
+// bench schedules one suite-benchmark run.
 func (e *env) bench(spec *oversub.BenchSpec, cfg oversub.BenchConfig) benchFuture {
 	if cfg.Policy == "" {
 		cfg.Policy = e.o.policy
 	}
-	key := fingerprint("bench", spec, cfg)
 	label := fmt.Sprintf("%s/%dT/%dc", spec.Name, cfg.Threads, cfg.Cores)
-	return benchFuture{submit(e, label, key, func() benchEntry {
+	return benchFuture{submit(e, label, func() (oversub.BenchResult, error) {
 		r := oversub.RunBenchmark(spec, cfg)
 		e.pool.ReportSim(int64(r.ExecTime))
-		ent := benchEntry{Res: r}
-		if r.Err != nil {
-			ent.Err = r.Err.Error()
-			ent.Res.Err = nil
-		}
-		return ent
+		return r, nil
 	})}
 }
 
@@ -141,56 +100,50 @@ func (e *env) memcached(cfg oversub.MemcachedConfig) future[oversub.MemcachedRes
 	if cfg.Policy == "" {
 		cfg.Policy = e.o.policy
 	}
-	key := fingerprint("memcached", cfg)
 	label := fmt.Sprintf("memcached/%dw/%dc", cfg.Workers, cfg.Cores)
-	return submit(e, label, key, func() oversub.MemcachedResult {
+	return submit(e, label, func() (oversub.MemcachedResult, error) {
 		r := oversub.RunMemcached(cfg)
 		e.pool.ReportSim(int64(r.ExecTime))
-		return r
+		return r, nil
 	})
 }
 
 // direct schedules one Figure 2 direct-cost micro-benchmark run.
 func (e *env) direct(threads int, atomicShared bool) future[workload.DirectCostResult] {
-	key := fingerprint("direct", threads, atomicShared, e.o.seed)
 	label := fmt.Sprintf("direct/%dT", threads)
-	return submit(e, label, key, func() workload.DirectCostResult {
-		return oversub.DirectCost(threads, atomicShared, e.o.seed)
+	return submit(e, label, func() (workload.DirectCostResult, error) {
+		return oversub.DirectCost(threads, atomicShared, e.o.seed), nil
 	})
 }
 
 // indirect schedules one Figure 4 indirect-cost micro-benchmark run.
 func (e *env) indirect(p oversub.Pattern, totalBytes int64) future[workload.IndirectCostResult] {
-	key := fingerprint("indirect", int(p), totalBytes, e.o.seed)
 	label := fmt.Sprintf("indirect/%s", humanBytes(totalBytes))
-	return submit(e, label, key, func() workload.IndirectCostResult {
-		return oversub.IndirectCost(p, totalBytes, e.o.seed)
+	return submit(e, label, func() (workload.IndirectCostResult, error) {
+		return oversub.IndirectCost(p, totalBytes, e.o.seed), nil
 	})
 }
 
 // prim schedules one Figure 10 primitive-stress run.
 func (e *env) prim(p workload.Primitive, threads, cores int, vb bool) future[oversub.Duration] {
-	key := fingerprint("prim", fmt.Sprint(p), threads, cores, vb, e.o.seed)
 	label := fmt.Sprintf("prim/%s/%dT/%dc", p, threads, cores)
-	return submit(e, label, key, func() oversub.Duration {
-		return oversub.PrimitiveStress(p, threads, cores, vb, e.o.seed)
+	return submit(e, label, func() (oversub.Duration, error) {
+		return oversub.PrimitiveStress(p, threads, cores, vb, e.o.seed), nil
 	})
 }
 
 // spin schedules one Figure 13 spin-pipeline run.
 func (e *env) spin(kind oversub.SpinLockKind, threads, cores int, detect oversub.DetectMode, vm bool) future[workload.SpinPipelineResult] {
-	key := fingerprint("spin", int(kind), threads, cores, int(detect), vm, e.o.seed)
 	label := fmt.Sprintf("spin/%v/%dT", kind, threads)
-	return submit(e, label, key, func() workload.SpinPipelineResult {
-		return oversub.SpinPipeline(kind, threads, cores, detect, vm, e.o.seed)
+	return submit(e, label, func() (workload.SpinPipelineResult, error) {
+		return oversub.SpinPipeline(kind, threads, cores, detect, vm, e.o.seed), nil
 	})
 }
 
 // sens schedules one Table 2 sensitivity run.
 func (e *env) sens(kind oversub.SpinLockKind, tries int) future[workload.SensitivityResult] {
-	key := fingerprint("sens", int(kind), tries, e.o.seed)
 	label := fmt.Sprintf("sens/%v", kind)
-	return submit(e, label, key, func() workload.SensitivityResult {
-		return oversub.Sensitivity(kind, tries, e.o.seed)
+	return submit(e, label, func() (workload.SensitivityResult, error) {
+		return oversub.Sensitivity(kind, tries, e.o.seed), nil
 	})
 }

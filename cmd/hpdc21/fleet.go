@@ -9,23 +9,18 @@ import (
 	"oversub/internal/sweep"
 )
 
-// fleetRun schedules one fleet cell on the pool, cached under the full
-// fleet configuration fingerprint: machine count, machine topology and
-// features, tenant mix, dispatch policy, arrival process, load, and seed
-// all key the entry, so changing any of them — in particular the fleet
-// topology — can never serve a stale result.
+// fleetRun schedules one fleet cell on the pool. A cluster.Run error fails
+// the run; its zero result renders as an SLO miss.
 func (e *env) fleetRun(cfg cluster.FleetConfig) future[cluster.FleetResult] {
 	cfg = cfg.WithDefaults()
-	key := fingerprint("fleet", cfg)
 	label := fmt.Sprintf("fleet/%s/%s/%dm", cfg.Policy, variantLabel(cfg.Machine), cfg.Machines)
-	return submit(e, label, key, func() cluster.FleetResult {
+	return submit(e, label, func() (cluster.FleetResult, error) {
 		r, err := cluster.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpdc21: %s: %v\n", label, err)
-			return cluster.FleetResult{}
+			return cluster.FleetResult{}, err
 		}
 		e.pool.ReportSim(int64(cfg.Duration))
-		return *r
+		return *r, nil
 	})
 }
 
@@ -52,8 +47,7 @@ func fleet(e *env) {
 		Duration: 500 * sim.Millisecond,
 		Seed:     e.o.seed,
 		// A host-execution knob, not an experiment parameter: sharded
-		// results are byte-identical to serial (Shards is json:"-", so
-		// cached results stay valid across -shards settings).
+		// results are byte-identical to serial.
 		Shards: e.o.shards,
 	}
 	machines := []int{1, 2, 4}

@@ -12,10 +12,11 @@
 //
 // Runs fan out across -jobs OS threads (every simulation run is an
 // independent single-threaded engine), and results are merged back in
-// submission order, so output is byte-identical to a serial run. Completed
-// runs are cached under results/cache keyed by their full configuration;
-// rerunning recomputes only what changed (-nocache to disable). Progress
-// heartbeats go to stderr.
+// submission order, so output is byte-identical to a serial run. Every run
+// is computed afresh from the code as it stands; nothing is read back from
+// disk. Progress heartbeats go to stderr. A run that fails (an error, a
+// panic, or a -timeout overrun) is reported on stderr, renders as a failed
+// or missed cell, and makes the invocation exit 1.
 //
 // -trace <file> additionally records one representative workload under full
 // kernel tracing, validates the event stream against the trace-invariant
@@ -51,6 +52,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"oversub"
@@ -105,8 +107,6 @@ func main() {
 	o := options{}
 	var (
 		jobs       int
-		nocache    bool
-		cacheDir   string
 		cpuprofile string
 		memprofile string
 		benchOut   string
@@ -124,8 +124,6 @@ func main() {
 	flag.StringVar(&o.policy, "policy", "", "scheduling policy for every run: cfs, edf, shinjuku, or oracle (default cfs)")
 	flag.IntVar(&o.shards, "shards", 0, "split each fleet run across this many concurrently executing shard engines (results stay byte-identical; 0/1 = serial)")
 	flag.IntVar(&jobs, "jobs", 0, "parallel simulation runs (0 = GOMAXPROCS, 1 = serial)")
-	flag.BoolVar(&nocache, "nocache", false, "ignore and do not write the result cache")
-	flag.StringVar(&cacheDir, "cache", filepath.Join("results", "cache"), "result cache directory")
 	flag.StringVar(&cpuprofile, "cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 	flag.StringVar(&memprofile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.StringVar(&benchOut, "bench-out", ".", "bench: directory for the BENCH_<date>.json report")
@@ -173,21 +171,12 @@ func main() {
 		}
 	}
 
-	var cache *runner.Cache
-	if !nocache {
-		c, err := runner.OpenCache(cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpdc21: cache disabled: %v\n", err)
-		} else {
-			cache = c
-		}
-	}
 	pool := runner.New(jobs)
 	rep := runner.StartReporter(pool, os.Stderr, 2*time.Second)
 	os.Exit(func() int {
 		defer pool.Close()
 		defer rep.Stop()
-		stopProf, err := startProfiles(cpuprofile, memprofile)
+		stopProf, err := runner.StartProfiles(cpuprofile, memprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -219,7 +208,7 @@ func main() {
 			}
 		}
 		if len(selected) > 0 {
-			if code := runExperiments(selected, o, pool, cache); code != 0 {
+			if code := runExperiments(selected, o, pool); code != 0 {
 				exit = code
 			}
 		}
@@ -231,8 +220,10 @@ func main() {
 // the shared pool (each experiment further fans its runs out on the same
 // pool) and prints the buffers in selection order — parallel execution,
 // byte-identical output. An experiment that fails is reported on stderr
-// and skipped without stopping its siblings.
-func runExperiments(selected []experiment, o options, pool *runner.Pool, cache *runner.Cache) int {
+// and skipped without stopping its siblings. The exit status is 1 if any
+// experiment or any of its runs failed.
+func runExperiments(selected []experiment, o options, pool *runner.Pool) int {
+	var failed atomic.Int64
 	bufs := make([]*bytes.Buffer, len(selected))
 	futs := make([]*runner.Future, len(selected))
 	for i, ex := range selected {
@@ -241,7 +232,7 @@ func runExperiments(selected []experiment, o options, pool *runner.Pool, cache *
 		bufs[i] = buf
 		futs[i] = pool.Submit(nil, runner.Job{Label: ex.name, Fn: func(context.Context) (any, error) {
 			banner(buf, ex.title)
-			ex.run(&env{o: o, out: buf, pool: pool, cache: cache})
+			ex.run(&env{o: o, out: buf, pool: pool, failed: &failed})
 			return nil, nil
 		}})
 	}
@@ -257,9 +248,9 @@ func runExperiments(selected []experiment, o options, pool *runner.Pool, cache *
 			exit = 1
 		}
 	}
-	if cache != nil {
-		h, m := cache.Counts()
-		fmt.Fprintf(os.Stderr, "hpdc21: cache %d hits, %d misses (%s)\n", h, m, cache.Dir())
+	if n := failed.Load(); n > 0 {
+		fmt.Fprintf(os.Stderr, "hpdc21: %d runs failed\n", n)
+		exit = 1
 	}
 	return exit
 }

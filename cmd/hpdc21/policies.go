@@ -1,12 +1,9 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"os"
 
 	"oversub"
-	"oversub/internal/runner"
 	"oversub/internal/trace"
 )
 
@@ -19,17 +16,14 @@ type policyCell struct {
 	wakeP99 oversub.Duration
 	vwakeN  int
 	vwakeP9 oversub.Duration
-	err     error
 }
 
 // policies runs the policy-zoo comparison: every registered scheduling
 // policy runs the paper's headline workload (streamcluster, 16 threads on
 // 4 cores) under vanilla and VB kernels with full tracing, the trace is
 // validated against the invariant oracle, and the derived wake-to-dispatch
-// latency distributions are tabulated. Unlike the figure experiments these
-// runs bypass the result cache: tracers are observation-only (excluded
-// from cache fingerprints), so a cached entry would have no analytics to
-// report.
+// latency distributions are tabulated. A hang, a wrapped ring, or an
+// oracle violation fails the cell.
 func policies(e *env) {
 	spec := oversub.FindBenchmark("streamcluster")
 	if spec == nil {
@@ -49,20 +43,20 @@ func policies(e *env) {
 	}
 	pols := oversub.PolicyNames()
 
-	run := func(pol string, feat oversub.Features) policyCell {
+	run := func(pol string, feat oversub.Features) (policyCell, error) {
 		ring := oversub.NewTraceRing(1 << 22)
 		r := oversub.RunBenchmark(spec, oversub.BenchConfig{
 			Threads: 16, Cores: 4, Seed: e.o.seed, WorkScale: scale,
 			Feat: feat, Policy: pol, Tracer: ring,
 		})
 		if r.Err != nil {
-			return policyCell{err: r.Err}
+			return policyCell{}, r.Err
 		}
 		if ring.Dropped() > 0 {
-			return policyCell{err: fmt.Errorf("trace ring wrapped (%d events dropped)", ring.Dropped())}
+			return policyCell{}, fmt.Errorf("trace ring wrapped (%d events dropped)", ring.Dropped())
 		}
 		if vs := ring.Check(); len(vs) > 0 {
-			return policyCell{err: fmt.Errorf("%d trace-invariant violations (first: %s)", len(vs), vs[0])}
+			return policyCell{}, fmt.Errorf("%d trace-invariant violations (first: %s)", len(vs), vs[0])
 		}
 		a := trace.Analyze(ring.Events())
 		e.pool.ReportSim(int64(r.ExecTime))
@@ -73,47 +67,30 @@ func policies(e *env) {
 			wakeP99: a.Latency.Wake.Percentile(99),
 			vwakeN:  a.Latency.VWake.Count(),
 			vwakeP9: a.Latency.VWake.Percentile(99),
-		}
+		}, nil
 	}
 
 	// Fan the grid out on the shared pool and collect in grid order, so the
 	// table is byte-identical regardless of -jobs.
-	type point struct {
-		pol string
-		vi  int
-	}
+	type point struct{ pol, variant string }
 	var pts []point
+	var futs []future[policyCell]
 	for _, pol := range pols {
-		for vi := range variants {
-			pts = append(pts, point{pol, vi})
+		for _, v := range variants {
+			pts = append(pts, point{pol, v.label})
+			futs = append(futs, submit(e, fmt.Sprintf("policies/%s/%s", pol, v.label), func() (policyCell, error) {
+				return run(pol, v.feat)
+			}))
 		}
-	}
-	futs := make([]*runner.Future, len(pts))
-	for i, pt := range pts {
-		pt := pt
-		futs[i] = e.pool.Submit(nil, runner.Job{
-			Label:   fmt.Sprintf("policies/%s/%s", pt.pol, variants[pt.vi].label),
-			Timeout: e.o.timeout,
-			Fn: func(context.Context) (any, error) {
-				return run(pt.pol, variants[pt.vi].feat), nil
-			},
-		})
 	}
 
 	fmt.Fprintf(e.out, "streamcluster 16T/4c scale=%.2f seed=%d: wake-to-dispatch latency by policy\n\n", scale, e.o.seed)
 	fmt.Fprintf(e.out, "%-10s %-8s %10s %8s %10s %10s %10s\n",
 		"policy", "variant", "exec(ms)", "wakes", "p50(us)", "p99(us)", "vb p99(us)")
 	for i, pt := range pts {
-		res := futs[i].Wait()
-		if res.Err != nil {
-			fmt.Fprintf(os.Stderr, "hpdc21: run %s failed: %v\n", res.Label, res.Err)
-			fmt.Fprintf(e.out, "%-10s %-8s %10s\n", pt.pol, variants[pt.vi].label, "failed")
-			continue
-		}
-		c := res.Value.(policyCell)
-		if c.err != nil {
-			fmt.Fprintf(os.Stderr, "hpdc21: run %s: %v\n", res.Label, c.err)
-			fmt.Fprintf(e.out, "%-10s %-8s %10s\n", pt.pol, variants[pt.vi].label, "failed")
+		c, err := futs[i].get()
+		if err != nil {
+			fmt.Fprintf(e.out, "%-10s %-8s %10s\n", pt.pol, pt.variant, "failed")
 			continue
 		}
 		vb99 := "-"
@@ -121,7 +98,7 @@ func policies(e *env) {
 			vb99 = fmt.Sprintf("%.1f", c.vwakeP9.Micros())
 		}
 		fmt.Fprintf(e.out, "%-10s %-8s %10.1f %8d %10.1f %10.1f %10s\n",
-			pt.pol, variants[pt.vi].label, c.execMS,
+			pt.pol, pt.variant, c.execMS,
 			c.wakeN, c.wakeP50.Micros(), c.wakeP99.Micros(), vb99)
 	}
 	fmt.Fprintln(e.out)

@@ -115,7 +115,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	stopProf, err := runner.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -67,8 +67,7 @@ type FleetConfig struct {
 	// robin across the fleet: machine m runs MachinePolicies[m %
 	// len(MachinePolicies)], overriding Machine.SchedPolicy. This models
 	// heterogeneous fleets (e.g. half cfs, half shinjuku) under one
-	// dispatcher. Entries must name registered policies; "" means cfs. It
-	// is a value field, so it participates in result-cache fingerprints.
+	// dispatcher. Entries must name registered policies; "" means cfs.
 	MachinePolicies []string
 	// Arrival selects the arrival process: "poisson", "mmpp", "diurnal"
 	// (default poisson).
@@ -89,15 +88,16 @@ type FleetConfig struct {
 	// m mod Shards), each executing on its own event engine, concurrently
 	// when GOMAXPROCS allows. Results are byte-identical to the serial run
 	// — the differential battery in shard_test.go enforces this — so it is
-	// a pure host-execution knob: excluded from result-cache fingerprints
-	// (json:"-") and legal to flip on any cached experiment. 0 or 1 runs
+	// a pure host-execution knob, never an experiment parameter, and is not
+	// part of a configuration's JSON form (the shard corpus in testdata
+	// names configurations, not how to execute them). 0 or 1 runs
 	// serially. Sharding requires a replicable dispatcher; with jsq/ewma
 	// (whose picks read completion state the shards cannot know under
 	// lookahead) the run silently falls back to serial. See DESIGN.md §15.
 	Shards int `json:"-"`
 	// TracerFor, when non-nil, supplies a per-machine tracer (nil return
-	// = untraced machine). Observation-only; excluded from result-cache
-	// fingerprints.
+	// = untraced machine). Observation-only; a func, so json:"-" keeps
+	// FleetConfig (un)marshalable.
 	TracerFor func(machine int) sched.Tracer `json:"-"`
 	// SamplerFor, when non-nil, supplies a per-machine metrics sampler.
 	SamplerFor func(machine int) sched.Sampler `json:"-"`
@@ -105,7 +105,7 @@ type FleetConfig struct {
 
 // WithDefaults returns the configuration with every zero field resolved
 // to its default, exactly as Run resolves them — so report headers and
-// cache fingerprints can name the effective configuration.
+// run labels can name the effective configuration.
 func (cfg FleetConfig) WithDefaults() FleetConfig {
 	cfg.defaults()
 	return cfg
@@ -211,12 +211,13 @@ type FleetResult struct {
 	PerTenant  []TenantResult
 }
 
-// SLOMet reports whether the run met a p99 SLO: the tail is under the
-// bound and the fleet actually absorbed the load (goodput within 5% of
-// offered — a saturated fleet can show a fine p99 over the few requests
-// it manages to serve while its backlog grows without bound).
+// SLOMet reports whether the run met a p99 SLO: load was offered, the
+// tail is under the bound, and the fleet actually absorbed the load
+// (goodput within 5% of offered — a saturated fleet can show a fine p99
+// over the few requests it manages to serve while its backlog grows
+// without bound). A zero result, such as a failed run's, never meets it.
 func (r *FleetResult) SLOMet(slo sim.Duration) bool {
-	return r.P99 <= slo && r.GoodputQPS >= 0.95*r.OfferedQPS
+	return r.OfferedQPS > 0 && r.P99 <= slo && r.GoodputQPS >= 0.95*r.OfferedQPS
 }
 
 // machine bundles one simulated machine's kernel and per-tenant services.

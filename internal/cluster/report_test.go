@@ -132,4 +132,8 @@ func TestCellFor(t *testing.T) {
 	if c.SLOMet {
 		t.Error("cell should miss slo via goodput guard")
 	}
+	c = CellFor("jsq", "vb", &FleetResult{}, 150*sim.Microsecond)
+	if c.SLOMet {
+		t.Error("zero result (a failed run offered nothing) should miss slo")
+	}
 }

@@ -1,4 +1,4 @@
-package main
+package runner
 
 import (
 	"fmt"
@@ -7,11 +7,11 @@ import (
 	"runtime/pprof"
 )
 
-// startProfiles arms the -cpuprofile/-memprofile hooks. The returned stop
-// function finishes the CPU profile and writes the heap profile (after a
-// GC, so it reflects live objects, not garbage); call it exactly once,
-// before exiting. Either path may be empty.
-func startProfiles(cpuPath, memPath string) (func(), error) {
+// StartProfiles arms a CLI's -cpuprofile/-memprofile hooks. The returned
+// stop function finishes the CPU profile and writes the heap profile
+// (after a GC, so it reflects live objects, not garbage); call it exactly
+// once, before exiting. Either path may be empty.
+func StartProfiles(cpuPath, memPath string) (func(), error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)

@@ -12,9 +12,8 @@
 // timeout is abandoned and reported as timed out, and cancelling the
 // submission context fails queued runs without starting them.
 //
-// The companion Cache (cache.go) memoizes run results on disk so unchanged
-// experiments are never recomputed, and the Reporter (report.go) prints
-// fleet progress heartbeats to stderr.
+// The Reporter (report.go) prints fleet progress heartbeats to stderr, and
+// StartProfiles (profile.go) arms the CLIs' pprof hooks.
 package runner
 
 import (
@@ -165,7 +164,7 @@ func (p *Pool) Workers() int { return p.nworkers }
 // ReportSim adds ns simulated nanoseconds to the pool's cumulative
 // throughput counter; the Reporter heartbeat divides it by pool uptime.
 // Job bodies call it with their run's simulated span once the run
-// completes (cache hits do not report: no simulation happened).
+// completes.
 func (p *Pool) ReportSim(ns int64) {
 	if ns > 0 {
 		p.simNS.Add(ns)

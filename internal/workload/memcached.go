@@ -19,16 +19,15 @@ type MemcachedConfig struct {
 	ValSize  int     // bytes (paper: 2048)
 	// LockShards is the hash-table lock granularity (default 4).
 	LockShards int
-	// Policy selects the scheduling policy ("" = cfs). It participates in
-	// result-cache fingerprints.
+	// Policy selects the scheduling policy ("" = cfs).
 	Policy string
 	Seed   uint64
 	// Tracer, when non-nil, receives every scheduling event of the run.
-	// It is excluded from result-cache fingerprints (json:"-").
-	Tracer sched.Tracer `json:"-"`
+	// Observation-only: tracing does not change the run.
+	Tracer sched.Tracer
 	// Sampler, when non-nil, snapshots scheduler state at its sim-time
-	// interval. Observation-only; excluded from cache fingerprints.
-	Sampler sched.Sampler `json:"-"`
+	// interval. Observation-only.
+	Sampler sched.Sampler
 }
 
 // MemcachedResult reports the client-observed service metrics.

@@ -30,8 +30,8 @@ type WebConfig struct {
 	Policy string
 	Seed   uint64
 	// Sampler, when non-nil, snapshots scheduler state at its sim-time
-	// interval. Observation-only; excluded from cache fingerprints.
-	Sampler sched.Sampler `json:"-"`
+	// interval. Observation-only.
+	Sampler sched.Sampler
 }
 
 // WebResult reports client-observed service metrics.
